@@ -1563,8 +1563,9 @@ let soak_cmd =
       value & flag
       & info [ "no-baseline" ]
           ~doc:
-            "skip the chaos-free comparison against an unsupervised \
-             baseline session (only meaningful with $(b,--chaos none))")
+            "skip the chaos-free comparison against an inline \
+             $(b,--jobs 1) baseline session (only meaningful with \
+             $(b,--chaos none))")
   in
   let term =
     Term.(

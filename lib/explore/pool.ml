@@ -1,24 +1,16 @@
-type handle = {
-  domains : unit Domain.t list;
-  errors : exn option array;
-  done_count : int Atomic.t;
-}
+type handle = { domains : unit Domain.t list; errors : exn option array }
 
 let fork ~domains:n f =
   let n = max n 0 in
   let errors = Array.make (max n 1) None in
-  let done_count = Atomic.make 0 in
   let domains =
     List.init n (fun i ->
         Domain.spawn (fun () ->
             (* errors are parked, never propagated out of the domain: the
                joiner re-raises them after everyone has finished *)
-            (try f i with e -> errors.(i) <- Some e);
-            Atomic.incr done_count))
+            try f i with e -> errors.(i) <- Some e))
   in
-  { domains; errors; done_count }
-
-let finished h = Atomic.get h.done_count
+  { domains; errors }
 
 let join h =
   List.iter Domain.join h.domains;

@@ -1,37 +1,12 @@
 (** Multicore fan-out over the stdlib [Domain] API (no domainslib).
 
-    Two layers: {!fork}/{!join} is the raw spawn-and-reap discipline
-    (exceptions parked per domain and re-raised only after every domain
-    has been joined — nothing leaks, nothing double-raises), and {!map}
-    is the static round-robin fan-out built on it.
-
     Work is dealt to at most [jobs] domains round-robin by index; every
     worker writes only its own slots of the result array, so no locking
     is needed and the merged result is in input order regardless of
     scheduling — [map ~jobs:n] is observationally identical to
-    [map ~jobs:1] for a pure [f].
-
-    [hypar serve] reuses {!fork}/{!join} for its request worker pool:
-    the same park-then-reraise discipline, but pulling work from a
-    bounded queue instead of a precomputed array. *)
-
-type handle
-(** A group of spawned domains. *)
-
-val fork : domains:int -> (int -> unit) -> handle
-(** [fork ~domains:n f] spawns [n] domains running [f 0 .. f (n-1)].
-    An exception raised by [f i] is recorded, not propagated; {!join}
-    re-raises the first one (by domain index).  [n <= 0] spawns
-    nothing. *)
-
-val finished : handle -> int
-(** Number of domains that have finished (normally or with a parked
-    exception).  Lock-free; usable from a drain loop polling for
-    completion against a timeout. *)
-
-val join : handle -> unit
-(** Join every domain, then re-raise the first parked exception if any.
-    Blocks until all domains finish. *)
+    [map ~jobs:1] for a pure [f].  Exceptions are parked per domain and
+    re-raised only after every domain has been joined — nothing leaks,
+    nothing double-raises. *)
 
 val map : jobs:int -> ('a -> 'b) -> 'a array -> 'b array
 (** [map ~jobs f xs] applies [f] to every element.  [jobs <= 1] runs

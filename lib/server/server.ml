@@ -1,5 +1,4 @@
 module Sink = Hypar_obs.Sink
-module Pool = Hypar_explore.Pool
 
 type config = {
   jobs : int;
@@ -86,18 +85,21 @@ let run_session ?(drain_on_eof = true) ?(execute = Worker.execute) ?on_stats
       write_line ~first:(String.length line / 2) out_lock out_fd line
     | _ -> write_line out_lock out_fd line
   in
+  (* Inline sessions run every request in the read loop; all others go
+     through the supervised pool. *)
+  let inline = jobs = 1 && Option.is_none config.supervisor in
   (* Reader-side responses (parse errors, overloaded rejections) record
      under the line's sequence number like worker responses, so the
      replayed counter stream keeps input order regardless of [jobs]. *)
-  let respond_reader ~pooled seq resp =
-    (if not pooled then Drain.record drain resp
+  let respond_reader seq resp =
+    (if inline then Drain.record drain resp
      else begin
        let (), events = Sink.collect (fun () -> Drain.record drain resp) in
        capture seq events
      end);
     write_response (Protocol.render resp)
   in
-  let read_loop ~pooled ~admit =
+  let read_loop ~admit =
     let seq = ref 0 in
     let rec go () =
       match Lines.next ~stop:(fun () -> Drain.draining drain) lines with
@@ -109,32 +111,13 @@ let run_session ?(drain_on_eof = true) ?(execute = Worker.execute) ?on_stats
           incr seq;
           match Protocol.parse_request line with
           | Error msg ->
-            respond_reader ~pooled !seq
+            respond_reader !seq
               (Protocol.Failed { id = None; kind = "parse-error"; message = msg })
           | Ok req -> admit !seq req
         end;
         go ()
     in
     go ()
-  in
-  let overloaded seq (req : Protocol.request) depth =
-    respond_reader ~pooled:true seq
-      (Protocol.Overloaded
-         {
-           id = req.Protocol.id;
-           depth;
-           retry_after_ms =
-             retry_after_hint ~base:config.retry_after_ms ~jobs ~depth;
-         })
-  in
-  let draining_failed seq (req : Protocol.request) =
-    respond_reader ~pooled:true seq
-      (Protocol.Failed
-         {
-           id = req.Protocol.id;
-           kind = "draining";
-           message = "server is draining";
-         })
   in
   let base_wconfig queue_depth =
     {
@@ -147,10 +130,20 @@ let run_session ?(drain_on_eof = true) ?(execute = Worker.execute) ?on_stats
       on_poll = None;
     }
   in
-  match config.supervisor with
-  | Some opts -> (
+  if inline then begin
+    (* responses leave in request order — the mode cram tests rely on *)
+    let wconfig = base_wconfig (fun () -> 0) in
+    read_loop ~admit:(fun _seq req ->
+        let resp = execute wconfig req in
+        Drain.record drain resp;
+        write_response (Protocol.render resp))
+  end
+  else begin
     (* self-healing pool: the supervisor owns the queue and the worker
        domains; the session supplies execution, delivery and admission *)
+    let opts =
+      Option.value config.supervisor ~default:Supervisor.default_options
+    in
     let sup_ref = ref None in
     let queue_depth () =
       match !sup_ref with Some s -> Supervisor.depth s | None -> 0
@@ -175,69 +168,32 @@ let run_session ?(drain_on_eof = true) ?(execute = Worker.execute) ?on_stats
     | Error msg -> failwith (Printf.sprintf "hypar serve: %s" msg)
     | Ok sup ->
       sup_ref := Some sup;
-      let admit seq req =
+      let admit seq (req : Protocol.request) =
         match Supervisor.submit sup ~seq req with
         | Supervisor.Admitted -> ()
-        | Supervisor.Rejected depth -> overloaded seq req depth
-        | Supervisor.Draining -> draining_failed seq req
+        | Supervisor.Rejected depth ->
+          respond_reader seq
+            (Protocol.Overloaded
+               {
+                 id = req.Protocol.id;
+                 depth;
+                 retry_after_ms =
+                   retry_after_hint ~base:config.retry_after_ms ~jobs ~depth;
+               })
+        | Supervisor.Draining ->
+          respond_reader seq
+            (Protocol.Failed
+               {
+                 id = req.Protocol.id;
+                 kind = "draining";
+                 message = "server is draining";
+               })
       in
-      read_loop ~pooled:true ~admit;
+      read_loop ~admit;
       let sstats = Supervisor.drain sup in
       replay ();
-      match on_stats with Some f -> f sstats | None -> ())
-  | None ->
-    let queue = Bqueue.create ~capacity:config.max_queue in
-    let wconfig =
-      base_wconfig (fun () -> if jobs > 1 then Bqueue.depth queue else 0)
-    in
-    let worker_loop _i =
-      let rec loop () =
-        match Bqueue.pop queue with
-        | None -> ()
-        | Some (seq, req) ->
-          (* record inside the capture so the response-class counters
-             replay in request order, exactly as the inline mode emits
-             them — counter totals stay byte-identical across [jobs] *)
-          let resp, events =
-            Sink.collect (fun () ->
-                let resp = execute wconfig req in
-                Drain.record drain resp;
-                resp)
-          in
-          capture seq events;
-          write_response (Protocol.render resp);
-          loop ()
-      in
-      loop ()
-    in
-    let pool =
-      if jobs > 1 then Some (Pool.fork ~domains:jobs worker_loop) else None
-    in
-    let admit seq req =
-      match pool with
-      | None ->
-        let resp = execute wconfig req in
-        Drain.record drain resp;
-        write_response (Protocol.render resp)
-      | Some _ -> (
-        match Bqueue.push queue (seq, req) with
-        | Bqueue.Pushed depth ->
-          if Sink.enabled () then
-            Hypar_obs.Counter.set "server.queue.depth" depth
-        | Bqueue.Full depth -> overloaded seq req depth
-        | Bqueue.Closed -> draining_failed seq req)
-    in
-    read_loop ~pooled:(pool <> None) ~admit;
-    (match pool with
-    | None -> ()
-    | Some pool ->
-      Bqueue.close queue;
-      (* Workers exit once the queue drains; a signal drain's cancellation
-         deadline cuts in-flight work short cooperatively, so the join is
-         bounded by the drain timeout plus one poll interval. *)
-      Pool.join pool);
-    replay ();
-    ignore on_stats
+      Option.iter (fun f -> f sstats) on_stats
+  end
 
 let supervisor_line (s : Supervisor.stats) =
   Printf.sprintf

@@ -9,19 +9,22 @@
     (cooperatively, through every request's deadline), a final stats
     line goes to stderr and the process exits 0.
 
-    With [jobs = 1] requests execute inline in the read loop, so
-    response order equals request order — the mode cram tests rely on.
-    With [jobs > 1] well-formed requests go through the bounded queue to
-    a {!Pool.fork}ed domain pool; when the queue is full the request is
-    refused with a typed [overloaded] envelope instead of queueing
-    without bound.  Worker trace events are captured per request
-    ({!Hypar_obs.Sink.collect}) and replayed in request order at session
-    end, so merged traces and counter totals are independent of [jobs].
+    A session takes one of two paths:
 
-    With [supervisor = Some opts] the pool is owned by {!Supervisor}
-    instead: worker crashes and wedges are healed, failing requests are
-    retried and ultimately quarantined, and chaos faults from
-    [opts.chaos] are injected — see {!Supervisor} and {!Chaos}. *)
+    - {b inline} — [jobs = 1] with [supervisor = None]: requests execute
+      in the read loop, so response order equals request order (the
+      mode cram tests rely on);
+    - {b supervised} — everything else: well-formed requests go through
+      the bounded queue of a {!Supervisor} pool of [jobs] worker
+      domains ([supervisor = None] means {!Supervisor.default_options}).
+      When the queue is full the request is refused with a typed
+      [overloaded] envelope instead of queueing without bound; worker
+      crashes and wedges are healed, failing requests are retried and
+      ultimately quarantined, and chaos faults from [opts.chaos] are
+      injected — see {!Supervisor} and {!Chaos}.  Worker trace events
+      are captured per request ({!Hypar_obs.Sink.collect}) and replayed
+      in request order at session end, so merged traces and counter
+      totals are independent of [jobs]. *)
 
 type config = {
   jobs : int;
@@ -37,7 +40,9 @@ type config = {
   default_deadline_ms : int option;
   default_fuel : int option;
   supervisor : Supervisor.options option;
-      (** [Some] serves through the self-healing supervised pool *)
+      (** [Some] always serves through the supervised pool, even at
+          [jobs = 1]; [None] serves inline at [jobs = 1] and with
+          {!Supervisor.default_options} otherwise *)
 }
 
 val retry_after_hint : base:int -> jobs:int -> depth:int -> int
@@ -59,7 +64,8 @@ val run_session :
     [false] so a disconnecting client does not stop the server.
     [execute] (default {!Worker.execute}) is a test seam for injecting
     deterministic or blocking workloads.  [on_stats] observes the
-    supervisor's final statistics (supervised sessions only). *)
+    supervisor's final statistics (supervised sessions only; an inline
+    session never calls it). *)
 
 val supervisor_line : Supervisor.stats -> string
 (** The one-line stderr summary of a supervised session. *)
